@@ -47,12 +47,12 @@ enum class LockRank : int {
   /// Rank-check exempt: a Mutex constructed without a rank composes
   /// with any acquisition order (used outside the concurrent core).
   kUnranked = 0,
-  /// serve::Server::mu_ — session table, ready queue and stop flag of
-  /// the network front-end. The outermost rank: a worker that drained
-  /// a request goes on to execute it against the database (whose write
-  /// path re-enters the replica/WAL/shard stack), so the serve lock
-  /// must sit below everything — and by design it is never held across
-  /// request execution or any I/O at all.
+  /// serve::Server::mu_ — the event loops' inboxes of new connections
+  /// and the stop flag of the network front-end. The outermost rank: a
+  /// loop executes requests against the database (whose write path
+  /// re-enters the replica/WAL/shard stack), so the serve lock must sit
+  /// below everything — and by design it is taken once per connection,
+  /// never on the request path.
   kServe = 5,
   /// persist::Replica::mu_ — held across whole poll/bootstrap cycles,
   /// which re-enter the primary's WAL bounds and the follower's write

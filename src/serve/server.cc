@@ -1,7 +1,7 @@
 #include "serve/server.h"
 
-#include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -14,17 +14,17 @@ namespace dbpl::serve {
 
 namespace {
 
-/// Cap on bytes drained from one session per service turn, so a
-/// fire-hosing pipeliner cannot starve other sessions of its worker.
+/// Cap on bytes read from one session per turn, so a fire-hosing
+/// pipeliner cannot starve the other sessions of its loop.
 constexpr size_t kMaxReadPerTurn = 256 * 1024;
 constexpr size_t kRecvChunkBytes = 16 * 1024;
+/// A session stops executing requests while this many reply bytes wait
+/// for the peer, bounding its buffered output to this plus one reply.
+constexpr size_t kMaxPendingReply = 256 * 1024;
 
-Status SetFdNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Status::IoError(std::string("fcntl: ") + std::strerror(errno));
-  }
-  return Status::OK();
+void Wake(int fd) {
+  const uint64_t one = 1;
+  (void)!::write(fd, &one, sizeof(one));
 }
 
 }  // namespace
@@ -46,55 +46,52 @@ Result<std::unique_ptr<Server>> Server::Start(persist::WalDatabase* wdb,
 }
 
 Status Server::StartLocked() {
-  if (::pipe(wake_fd_) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  DBPL_RETURN_IF_ERROR(SetFdNonBlocking(wake_fd_[0]));
-  DBPL_RETURN_IF_ERROR(SetFdNonBlocking(wake_fd_[1]));
-
   if (options_.listen) {
     DBPL_ASSIGN_OR_RETURN(
         listener_,
         Listener::Listen(options_.host, options_.port, options_.backlog));
-    DBPL_RETURN_IF_ERROR(SetFdNonBlocking(listener_.fd()));
+    DBPL_RETURN_IF_ERROR(listener_.SetNonBlocking());
     port_ = listener_.port();
   }
-
+  const auto n = static_cast<size_t>(options_.workers);
+  for (size_t i = 0; i < n; ++i) {
+    const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (fd < 0) {
+      return Status::IoError(std::string("eventfd: ") + std::strerror(errno));
+    }
+    wake_fds_.push_back(fd);
+  }
+  {
+    MutexLock lock(&mu_);
+    inboxes_.resize(n);
+  }
   started_.store(true, std::memory_order_release);
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
-  workers_.reserve(static_cast<size_t>(options_.workers));
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  for (size_t i = 0; i < n; ++i) {
+    loops_.emplace_back([this, i] { LoopMain(i); });
   }
   return Status::OK();
 }
 
-Server::~Server() { Stop(); }
+Server::~Server() {
+  Stop();
+  for (int fd : wake_fds_) ::close(fd);
+}
 
 void Server::Stop() {
   if (!started_.exchange(false, std::memory_order_acq_rel)) return;
   {
     MutexLock lock(&mu_);
     stop_ = true;
+    for (int fd : wake_fds_) Wake(fd);
   }
-  ready_cv_.NotifyAll();
-  WakeDispatcher();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
+  // Loops only ever wait in poll(2), which the wake interrupts, so
+  // joining never depends on a peer. Each loop's sessions close (and
+  // their clients see EOF) as it returns.
+  for (std::thread& loop : loops_) loop.join();
   listener_.Close();
-  {
-    MutexLock lock(&mu_);
-    sessions_.clear();  // RAII closes every socket; clients see EOF
-    ready_.clear();
-  }
-  for (int& fd : wake_fd_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  MutexLock lock(&mu_);
+  inboxes_.clear();
+  live_.store(0);
 }
 
 Status Server::AdoptConnection(Socket sock) {
@@ -102,11 +99,6 @@ Status Server::AdoptConnection(Socket sock) {
     return Status::InvalidArgument("AdoptConnection: invalid socket");
   }
   return Admit(std::move(sock));
-}
-
-int Server::active_sessions() const {
-  MutexLock lock(&mu_);
-  return static_cast<int>(sessions_.size());
 }
 
 ServerStats Server::stats() const {
@@ -120,66 +112,48 @@ ServerStats Server::stats() const {
   return out;
 }
 
-void Server::WakeDispatcher() {
-  char byte = 1;
-  // A full pipe means a wakeup is already pending; either way the
-  // dispatcher will come around.
-  (void)!::write(wake_fd_[1], &byte, 1);
-}
-
-void Server::DispatcherLoop() {
+void Server::LoopMain(size_t index) {
+  const int wake_fd = wake_fds_[index];
+  const bool listening = index == 0 && listener_.valid();
+  std::vector<Session> sessions;
   std::vector<struct pollfd> pfds;
-  std::vector<uint64_t> ids;
   while (true) {
-    pfds.clear();
-    ids.clear();
-    pfds.push_back({wake_fd_[0], POLLIN, 0});
-    const bool listening = listener_.valid();
+    pfds.assign(1, {wake_fd, POLLIN, 0});
     if (listening) pfds.push_back({listener_.fd(), POLLIN, 0});
     const size_t base = pfds.size();
-    {
-      MutexLock lock(&mu_);
-      if (stop_) return;
-      for (const auto& [id, session] : sessions_) {
-        if (session->state == SessionState::kIdle) {
-          pfds.push_back({session->sock.fd(), POLLIN, 0});
-          ids.push_back(id);
-        }
-      }
+    for (const Session& s : sessions) {
+      // Pending replies gate further reads until the peer drains them.
+      const short events = s.sent < s.out.size() ? POLLOUT : POLLIN;
+      pfds.push_back({s.sock.fd(), events, 0});
     }
-
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-    if (rc < 0) {
+    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
       if (errno != EINTR) return;  // unrecoverable; Stop will tear down
       continue;
     }
 
-    if ((pfds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(wake_fd_[0], buf, sizeof(buf)) > 0) {
+    for (size_t i = 0; i < sessions.size(); ++i) {
+      if (pfds[base + i].revents != 0 && !Turn(&sessions[i])) {
+        sessions[i].sock.Close();
       }
     }
-    if (listening &&
-        (pfds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      AcceptReady();
+    const size_t closed = std::erase_if(
+        sessions, [](const Session& s) { return !s.sock.valid(); });
+    if (closed > 0) {
+      live_.fetch_sub(static_cast<int>(closed));
+      n_closed_.fetch_add(closed, std::memory_order_relaxed);
     }
 
-    bool queued = false;
-    {
+    if (listening && pfds[1].revents != 0) AcceptReady();
+    if (pfds[0].revents != 0) {
+      uint64_t count = 0;
+      (void)!::read(wake_fd, &count, sizeof(count));
       MutexLock lock(&mu_);
       if (stop_) return;
-      for (size_t i = base; i < pfds.size(); ++i) {
-        if ((pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-        auto it = sessions_.find(ids[i - base]);
-        if (it == sessions_.end()) continue;
-        // Only the dispatcher moves a session out of kIdle, so the
-        // snapshot taken above cannot have gone stale.
-        it->second->state = SessionState::kReady;
-        ready_.push_back(it->first);
-        queued = true;
+      for (Socket& sock : inboxes_[index]) {
+        sessions.emplace_back(std::move(sock));
       }
+      inboxes_[index].clear();
     }
-    if (queued) ready_cv_.NotifyAll();
   }
 }
 
@@ -195,27 +169,26 @@ void Server::AcceptReady() {
 Status Server::Admit(Socket sock) {
   sock.SetNoDelay();
   DBPL_RETURN_IF_ERROR(sock.SetNonBlocking(true));
-  bool admitted = false;
+  int live = live_.load();
+  do {
+    if (live >= options_.max_sessions) return Shed(std::move(sock));
+  } while (!live_.compare_exchange_weak(live, live + 1));
   {
     MutexLock lock(&mu_);
-    if (!stop_ &&
-        static_cast<int>(sessions_.size()) < options_.max_sessions) {
-      sessions_.emplace(next_session_id_++,
-                        std::make_unique<Session>(std::move(sock)));
-      admitted = true;
+    if (!stop_) {
+      const size_t loop = next_loop_++ % inboxes_.size();
+      inboxes_[loop].push_back(std::move(sock));
+      Wake(wake_fds_[loop]);
+      n_accepted_.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
     }
   }
-  if (!admitted) {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    Shed(std::move(sock));
-    return Status::Unavailable("server at capacity");
-  }
-  n_accepted_.fetch_add(1, std::memory_order_relaxed);
-  WakeDispatcher();
-  return Status::OK();
+  live_.fetch_sub(1);
+  return Shed(std::move(sock));
 }
 
-void Server::Shed(Socket sock) {
+Status Server::Shed(Socket sock) {
+  n_shed_.fetch_add(1, std::memory_order_relaxed);
   Response resp;
   resp.id = 0;
   resp.op = ReqOp::kNone;
@@ -223,78 +196,63 @@ void Server::Shed(Socket sock) {
   ByteBuffer body;
   EncodeResponse(resp, &body);
   ByteBuffer frame;
-  // A bare error response cannot exceed the frame limit.
-  if (!EncodeFrame(body, &frame).ok()) return;
-  (void)sock.SendAll(frame.data(), frame.size());  // best effort, then close
-}
-
-void Server::WorkerLoop() {
-  while (true) {
-    uint64_t id = 0;
-    Session* session = nullptr;
-    {
-      MutexLock lock(&mu_);
-      while (!stop_ && ready_.empty()) ready_cv_.Wait(mu_);
-      if (stop_) return;
-      id = ready_.front();
-      ready_.pop_front();
-      auto it = sessions_.find(id);
-      if (it != sessions_.end()) {
-        session = it->second.get();
-        session->state = SessionState::kBusy;
-      }
-    }
-    if (session == nullptr) continue;
-
-    ProcessTurn(session);
-
-    bool close = false;
-    {
-      MutexLock lock(&mu_);
-      if (session->closing) {
-        sessions_.erase(id);
-        close = true;
-      } else {
-        session->state = SessionState::kIdle;
-      }
-    }
-    if (close) {
-      n_closed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      WakeDispatcher();  // poll the session again
-    }
+  // A bare error response cannot exceed the frame limit, and it fits
+  // a fresh socket's empty buffer: one non-blocking send, then close.
+  if (EncodeFrame(body, &frame).ok()) {
+    (void)sock.Send(frame.data(), frame.size());
   }
+  return resp.status;
 }
 
-void Server::ProcessTurn(Session* session) {
-  // 1. Drain the socket (bounded per turn for fairness).
-  size_t drained = 0;
-  while (drained < kMaxReadPerTurn) {
+bool Server::Turn(Session* s) {
+  if (!Flush(s)) return false;
+  if (s->sent < s->out.size()) return true;  // still waiting for POLLOUT
+
+  // Read a bounded batch of requests.
+  for (size_t drained = 0; !s->eof && drained < kMaxReadPerTurn;) {
     uint8_t chunk[kRecvChunkBytes];
-    Result<size_t> got = session->sock.Recv(chunk, sizeof(chunk));
+    Result<size_t> got = s->sock.Recv(chunk, sizeof(chunk));
     if (!got.ok()) {
-      if (!Socket::IsWouldBlock(got.status())) session->closing = true;
-      break;
+      if (Socket::IsWouldBlock(got.status())) break;
+      return false;
     }
     if (*got == 0) {
-      session->saw_eof = true;
+      s->eof = true;  // orderly shutdown: answer what is buffered, then close
       break;
     }
-    session->in.insert(session->in.end(), chunk, chunk + *got);
+    s->in.insert(s->in.end(), chunk, chunk + *got);
     drained += *got;
+    // A short read emptied the socket; poll(2) reports anything newer,
+    // so skip the recv that would only say EAGAIN.
+    if (*got < sizeof(chunk)) break;
   }
 
-  // 2. Answer every complete buffered request, in arrival order.
-  ByteBuffer out;
+  // Answer them in arrival order, as far as the peer keeps draining.
+  bool more = true;
+  while (more) {
+    more = ExecuteBuffered(s);
+    if (!Flush(s)) return false;
+    if (s->sent < s->out.size()) return true;
+  }
+  // Once the peer is done sending, what remains is a torn request:
+  // discard it unexecuted and close.
+  return !s->eof;
+}
+
+bool Server::ExecuteBuffered(Session* s) {
   size_t consumed = 0;
-  bool fatal = session->closing;
-  while (!fatal) {
+  while (s->out.size() < kMaxPendingReply) {
     size_t total = 0;
     std::string error;
-    FrameStatus fs = InspectFrame(session->in.data() + consumed,
-                                  session->in.size() - consumed, &total,
-                                  &error);
+    FrameStatus fs = InspectFrame(s->in.data() + consumed,
+                                  s->in.size() - consumed, &total, &error);
     if (fs == FrameStatus::kNeedMore) break;
+    if (fs == FrameStatus::kFrame &&
+        HandleFrame(s->in.data() + consumed + kFrameHeaderBytes,
+                    total - kFrameHeaderBytes, &s->out)) {
+      consumed += total;
+      continue;
+    }
     if (fs == FrameStatus::kBad) {
       // Framing is lost for good: answer once (op kNone, no id to
       // echo) and drop the session.
@@ -303,27 +261,29 @@ void Server::ProcessTurn(Session* session) {
       resp.status = Status::Corruption(error);
       ByteBuffer body;
       EncodeResponse(resp, &body);
-      (void)EncodeFrame(body, &out);  // bare error: cannot be oversize
-      fatal = true;
-      break;
+      (void)EncodeFrame(body, &s->out);  // bare error: cannot be oversize
     }
-    if (!HandleFrame(session->in.data() + consumed + kFrameHeaderBytes,
-                     total - kFrameHeaderBytes, &out)) {
-      fatal = true;  // error response already appended
-    }
-    consumed += total;
+    // The error reply is the session's last: read and run nothing more,
+    // close once it drains.
+    s->eof = true;
+    s->in.clear();
+    return false;
   }
-  if (consumed > 0) {
-    session->in.erase(session->in.begin(),
-                      session->in.begin() + static_cast<ptrdiff_t>(consumed));
-  }
+  s->in.erase(s->in.begin(),
+              s->in.begin() + static_cast<ptrdiff_t>(consumed));
+  return s->out.size() >= kMaxPendingReply;
+}
 
-  // 3. Flush all responses with one send.
-  if (!out.empty()) {
-    Status sent = session->sock.SendAll(out.data(), out.size());
-    if (!sent.ok()) fatal = true;
+bool Server::Flush(Session* s) {
+  while (s->sent < s->out.size()) {
+    Result<size_t> n =
+        s->sock.Send(s->out.data() + s->sent, s->out.size() - s->sent);
+    if (!n.ok()) return Socket::IsWouldBlock(n.status());
+    s->sent += *n;
   }
-  if (fatal || session->saw_eof) session->closing = true;
+  s->out.clear();
+  s->sent = 0;
+  return true;
 }
 
 bool Server::HandleFrame(const uint8_t* body, size_t n, ByteBuffer* out) {

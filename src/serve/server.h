@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -20,8 +18,9 @@ namespace dbpl::serve {
 
 /// Construction-time knobs for a Server.
 struct ServeOptions {
-  /// Worker threads executing requests. Each session is owned by at
-  /// most one worker at a time, which is what makes pipelined
+  /// Event-loop threads. Each admitted session is assigned to one loop
+  /// (round-robin) for its whole life, and that loop alone receives,
+  /// executes and answers its requests — which is what makes pipelined
   /// responses arrive in request order without any per-session lock.
   int workers = 4;
   /// Admission bound: the most sessions admitted at once. A connection
@@ -51,32 +50,35 @@ struct ServerStats {
   uint64_t protocol_errors = 0;
 };
 
-/// The dbpl-serve front-end: an acceptor/dispatcher thread plus a
-/// worker pool, serving the wire protocol of serve/protocol.h on top
-/// of a persist::WalDatabase.
+/// The dbpl-serve front-end: `workers` symmetric event loops serving
+/// the wire protocol of serve/protocol.h on top of a
+/// persist::WalDatabase.
 ///
 /// ## Architecture
 ///
-///   acceptor ──admission──> session table ──readable──> ready queue
-///                                ^                          │
-///                                └────────── workers <──────┘
+///   listener ──(loop 0 accepts)──> admission ──round-robin──> inbox[i]
+///                                                                │
+///   loop i: poll(own sessions) → recv → execute → send  <────────┘
 ///
-/// One dispatcher thread poll(2)s the listener (when listening), a
-/// self-pipe, and every *idle* session. A session that turns readable
-/// moves to the ready queue; a worker checks it out, drains and
-/// executes every complete pipelined request in arrival order (reads
-/// resolve against a lock-free dyndb snapshot; writes funnel through
-/// the WalDatabase's sharded group-commit path), sends the responses,
-/// and hands the session back. A session is polled by the dispatcher
-/// or owned by one worker, never both — the mutex only guards the
-/// handoff, so request execution runs entirely outside it.
+/// Each loop is one thread that owns its sessions outright. It polls
+/// them, reads at most a bounded amount per session per turn, executes
+/// every complete request inline (reads resolve against a lock-free
+/// dyndb snapshot; writes funnel through the WalDatabase's sharded
+/// group-commit path) and sends the replies — a request is received,
+/// executed and answered on one thread, with no lock and no handoff.
+/// Loop 0 also polls the listener.
+///
+/// Sends never block: replies the socket will not take yet stay
+/// buffered on the session, which then waits for POLLOUT and reads no
+/// further requests until they drain. A peer that pipelines requests
+/// and never reads its replies therefore stalls only itself.
 ///
 /// ## Locking
 ///
 /// A single mutex (rank kServe, below the whole database stack —
-/// DESIGN.md §10/§12) guards the session table, ready queue and stop
-/// flag. It is held only for queue/table manipulation, never across
-/// recv/send/execute.
+/// DESIGN.md §10/§12) guards the per-loop inboxes of new sockets and
+/// the stop flag. It is taken once per connection (and at Stop), never
+/// on the request path. Admission is one atomic count.
 ///
 /// ## Failure containment
 ///
@@ -88,12 +90,12 @@ struct ServerStats {
 /// buffered partial requests are discarded unexecuted.
 class Server {
  public:
-  /// Starts the threads (and listener, when configured). `wdb` must
+  /// Starts the loops (and listener, when configured). `wdb` must
   /// outlive the returned server.
   static Result<std::unique_ptr<Server>> Start(persist::WalDatabase* wdb,
                                                const ServeOptions& options);
 
-  /// Stops and joins all threads, closing every session.
+  /// Stops and joins all loops, closing every session.
   ~Server();
 
   Server(const Server&) = delete;
@@ -108,30 +110,29 @@ class Server {
   /// The bound TCP port (0 when not listening).
   uint16_t port() const { return port_; }
 
-  /// Sessions currently admitted (idle, queued or being served).
-  int active_sessions() const DBPL_EXCLUDES(mu_);
+  /// Sessions currently admitted (served, or waiting in an inbox).
+  int active_sessions() const { return live_.load(); }
 
   ServerStats stats() const;
 
-  /// Idempotent shutdown: refuse new work, join threads, close
-  /// sessions. Called by the destructor.
+  /// Idempotent shutdown: refuse new work, join the loops, close
+  /// sessions. Never waits on a peer. Called by the destructor.
   void Stop() DBPL_EXCLUDES(mu_);
 
  private:
-  /// Which component may currently touch a session's socket/buffers.
-  enum class SessionState : uint8_t { kIdle, kReady, kBusy };
-
+  /// One connection, owned by exactly one loop for its whole life.
   struct Session {
     explicit Session(Socket s) : sock(std::move(s)) {}
     Socket sock;
     /// Received-but-unparsed bytes (may end mid-frame).
     std::vector<uint8_t> in;
-    SessionState state = SessionState::kIdle;
-    /// Set by the owning worker: close instead of re-registering.
-    bool closing = false;
-    /// Peer performed an orderly shutdown; close once the buffered
-    /// complete requests are answered.
-    bool saw_eof = false;
+    /// Framed replies; bytes before `sent` are already on the socket.
+    ByteBuffer out;
+    size_t sent = 0;
+    /// No further requests will be read: the peer shut down its write
+    /// side, or the stream lost its framing. The session closes once
+    /// its buffered replies drain.
+    bool eof = false;
   };
 
   Server(persist::WalDatabase* wdb, const ServeOptions& options)
@@ -139,21 +140,25 @@ class Server {
 
   Status StartLocked();
 
-  /// The dispatcher thread: accept + admission + readiness polling.
-  void DispatcherLoop() DBPL_EXCLUDES(mu_);
-  void WorkerLoop() DBPL_EXCLUDES(mu_);
-
+  /// Loop `index`: owns its sessions; loop 0 also accepts.
+  void LoopMain(size_t index) DBPL_EXCLUDES(mu_);
   /// Accepts until EAGAIN, applying admission control.
   void AcceptReady() DBPL_EXCLUDES(mu_);
-  /// Registers `sock` as a new idle session or sheds it. The returned
-  /// status is kUnavailable iff shed.
+  /// Hands `sock` to a loop or sheds it. The returned status is
+  /// kUnavailable iff shed.
   Status Admit(Socket sock) DBPL_EXCLUDES(mu_);
   /// Best-effort "server at capacity" frame + close.
-  void Shed(Socket sock);
+  Status Shed(Socket sock);
 
-  /// One service turn for a checked-out session: drain the socket,
-  /// answer every complete request, flush. Runs with no lock held.
-  void ProcessTurn(Session* session);
+  /// One service turn of a session whose socket is ready: flush, read,
+  /// answer every complete request, flush. False = close it now.
+  bool Turn(Session* s);
+  /// Executes buffered complete frames until `kMaxPendingReply` bytes
+  /// of replies wait. True iff it stopped at that cap.
+  bool ExecuteBuffered(Session* s);
+  /// Sends what the socket takes without blocking. False on a dead
+  /// socket.
+  static bool Flush(Session* s);
   /// Decodes and executes one CRC-valid frame body, appending the
   /// framed response to `out`. False = session must close (the body
   /// was not a well-formed request).
@@ -161,39 +166,36 @@ class Server {
   /// Executes one decoded request against the database.
   Response Execute(const Request& req);
 
-  void WakeDispatcher();
-
   persist::WalDatabase* const wdb_;
   const ServeOptions options_;
 
   Listener listener_;
   uint16_t port_ = 0;
-  /// Self-pipe waking the dispatcher out of poll(2): [0] read, [1]
-  /// write end.
-  int wake_fd_[2] = {-1, -1};
+  /// One eventfd per loop, written when its inbox grows or at Stop.
+  std::vector<int> wake_fds_;
+  std::atomic<bool> started_{false};
+  /// The admission count: sessions admitted and not yet closed.
+  std::atomic<int> live_{0};
 
-  /// Guards the handoff state below; held only for table/queue
-  /// manipulation, never across I/O or request execution. Rank kServe:
-  /// the outermost lock of the process (DESIGN.md §12).
-  mutable dbpl::Mutex mu_{dbpl::LockRank::kServe, "serve.mu_"};
-  dbpl::CondVar ready_cv_;
-  std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_
-      DBPL_GUARDED_BY(mu_);
-  std::deque<uint64_t> ready_ DBPL_GUARDED_BY(mu_);
-  uint64_t next_session_id_ DBPL_GUARDED_BY(mu_) = 1;
+  /// Guards the inboxes and stop flag; never held across request
+  /// execution. Rank kServe: the outermost lock of the process
+  /// (DESIGN.md §12).
+  dbpl::Mutex mu_{dbpl::LockRank::kServe, "serve.mu_"};
+  /// Admitted sockets not yet picked up by their loop, per loop.
+  std::vector<std::vector<Socket>> inboxes_ DBPL_GUARDED_BY(mu_);
+  size_t next_loop_ DBPL_GUARDED_BY(mu_) = 0;
   bool stop_ DBPL_GUARDED_BY(mu_) = false;
 
-  std::thread dispatcher_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> started_{false};
-
-  // Stats are atomics so workers never take mu_ on the hot path.
+  // Stats are atomics so loops never take mu_ on the request path.
   std::atomic<uint64_t> n_accepted_{0};
   std::atomic<uint64_t> n_shed_{0};
   std::atomic<uint64_t> n_closed_{0};
   std::atomic<uint64_t> n_requests_ok_{0};
   std::atomic<uint64_t> n_requests_error_{0};
   std::atomic<uint64_t> n_protocol_errors_{0};
+
+  /// Declared last: the loops use every member above.
+  std::vector<std::thread> loops_;
 };
 
 }  // namespace dbpl::serve

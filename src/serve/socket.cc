@@ -18,7 +18,7 @@ namespace dbpl::serve {
 
 namespace {
 
-constexpr const char* kWouldBlockMsg = "recv would block";
+constexpr const char* kWouldBlockMsg = "socket would block";
 
 Status ErrnoStatus(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
@@ -74,20 +74,28 @@ Status Socket::SendAll(const void* data, size_t n) {
   const char* p = static_cast<const char*>(data);
   size_t left = n;
   while (left > 0) {
-    ssize_t sent = ::send(fd_, p, left, MSG_NOSIGNAL);
-    if (sent > 0) {
-      p += sent;
-      left -= static_cast<size_t>(sent);
-      continue;
-    }
-    if (sent < 0 && errno == EINTR) continue;
-    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    Result<size_t> sent = Send(p, left);
+    if (!sent.ok()) {
+      if (!IsWouldBlock(sent.status())) return sent.status();
       DBPL_RETURN_IF_ERROR(PollFor(fd_, POLLOUT));
       continue;
     }
-    return ErrnoStatus("send");
+    p += *sent;
+    left -= *sent;
   }
   return Status::OK();
+}
+
+Result<size_t> Socket::Send(const void* data, size_t n) {
+  while (true) {
+    ssize_t sent = ::send(fd_, data, n, MSG_NOSIGNAL);
+    if (sent >= 0) return static_cast<size_t>(sent);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::IoError(kWouldBlockMsg);
+    }
+    return ErrnoStatus("send");
+  }
 }
 
 Result<size_t> Socket::Recv(void* out, size_t n) {

@@ -56,13 +56,18 @@ class Socket {
   /// through EAGAIN (so it works on non-blocking sockets too).
   Status SendAll(const void* data, size_t n);
 
+  /// One send(2): the number of bytes the socket took (possibly fewer
+  /// than `n`), or IoError. On a non-blocking socket with a full send
+  /// buffer it yields the would-block status below instead of waiting.
+  Result<size_t> Send(const void* data, size_t n);
+
   /// One read(2): the number of bytes received (0 = orderly shutdown
   /// by the peer), or IoError. On a non-blocking socket an empty
   /// socket yields the special status below.
   Result<size_t> Recv(void* out, size_t n);
 
-  /// True when `s` is the would-block pseudo-error from Recv on a
-  /// non-blocking socket with nothing buffered.
+  /// True when `s` is the would-block pseudo-error from Send or Recv
+  /// on a non-blocking socket that is not ready.
   static bool IsWouldBlock(const Status& s);
 
   /// Reads exactly `n` bytes (blocking sockets; polls through EAGAIN).
@@ -107,10 +112,11 @@ class Listener {
   static Result<Listener> Listen(const std::string& host, uint16_t port,
                                  int backlog);
 
-  /// Accepts one connection (blocking). IoError on failure — including
-  /// the listener being closed from another thread, which is how the
-  /// server shuts the accept loop down.
+  /// Accepts one connection. IoError on failure, including EAGAIN once
+  /// a non-blocking listener has no connection pending.
   Result<Socket> Accept();
+
+  Status SetNonBlocking() { return sock_.SetNonBlocking(true); }
 
   uint16_t port() const { return port_; }
   int fd() const { return sock_.fd(); }

@@ -30,11 +30,11 @@ TEST(LockRankTest, OrderedAcquisitionIsAllowed) {
 }
 
 TEST(LockRankTest, ServeIsTheOutermostRank) {
-  // serve.mu_ (5) sits below the entire database stack: a worker that
-  // pops the ready queue and then executes a request (which reaches
+  // serve.mu_ (5) sits below the entire database stack: an event loop
+  // that takes its inbox and then executes a request (which reaches
   // shard writer, lane, status, ...) follows the table. Note the
   // server never actually holds mu_ across execution — the rank only
-  // proves that even if the handoff and the first database lock
+  // proves that even if the inbox handoff and the first database lock
   // overlapped, the order would still be sound.
   Mutex serve(LockRank::kServe, "test.serve");
   Mutex writer(LockRank::kShardWriter, "test.writer");
@@ -47,7 +47,7 @@ TEST(LockRankTest, ServeIsTheOutermostRank) {
 TEST(LockRankDeathTest, ServeUnderDatabaseLockAborts) {
   if (!kRankChecksOn) GTEST_SKIP() << "built with DBPL_LOCK_RANKS=OFF";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The forbidden shape: calling back into the server's session table
+  // The forbidden shape: calling back into the server's inboxes
   // from inside the database write path (e.g. a write observer trying
   // to broadcast to sessions) would take 5 under 30.
   Mutex serve(LockRank::kServe, "test.serve");

@@ -4,18 +4,22 @@
 // in-process call — same values, same ids, same typed errors — across
 // all Get strategies and shard geometries. Around it: frame/codec
 // round trips, pipelined in-order responses, session teardown
-// mid-request, admission-control shedding (kUnavailable), a TCP
+// mid-request, a half-closed peer, a peer that never reads its replies
+// (it must stall neither other sessions nor Stop), admission-control
+// shedding (kUnavailable) across event loops, a TCP
 // end-to-end run, a 4-client × 4-worker stress run (the `serve-tsan`
 // target), and the PR 5 durability oracle lifted to the wire: the
 // server is killed at every VFS op while live clients stream writes,
 // and recovery must present a committed prefix where every client
 // either got an ack (durable) or an error (absent).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -56,6 +60,11 @@ Value Rec(int seq) {
   return Value::RecordOf(
       {{"Seq", Value::Int(seq)},
        {"Payload", Value::String(std::string(seq % 7, 's'))}});
+}
+
+Value BigRec(int seq, size_t n) {
+  return Value::RecordOf({{"Seq", Value::Int(seq)},
+                          {"Payload", Value::String(std::string(n, 'p'))}});
 }
 
 types::Type RecT() { return *ParseType("{Seq: Int, Payload: String}"); }
@@ -625,15 +634,123 @@ TEST(ServeTest, PeerVanishingBeforeReadingResponseIsContained) {
   EXPECT_EQ(wdb->get()->db().size(), 1u);
 }
 
+TEST(ServeTest, HalfClosedPeerGetsEveryReplyThenEof) {
+  FaultVfs vfs(5);
+  auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});
+  ASSERT_TRUE(wdb.ok()) << wdb.status();
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(wdb->get()->InsertValue(BigRec(i, 16)).ok());
+  }
+  ASSERT_TRUE(wdb->get()->Commit().ok());
+  PairHarness h = StartPairServer(wdb->get(), /*workers=*/1, /*clients=*/1);
+  Client& c = h.clients[0];
+  c.set_await_timeout(std::chrono::seconds(10));
+
+  // Pipeline inserts, scans and pings, then shut down the write side.
+  // The scans' replies outgrow the socket buffer, so the server sees
+  // the EOF while it still holds replies it owes.
+  constexpr int kRequests = 30;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kRequests; ++i) {
+    Request req;
+    switch (i % 3) {
+      case 0:
+        req.op = ReqOp::kInsert;
+        req.entry = MakeDynamic(Rec(i));
+        break;
+      case 1:
+        req.op = ReqOp::kGetScan;
+        req.type = RecT();
+        break;
+      default:
+        req.op = ReqOp::kPing;
+        break;
+    }
+    auto id = c.Send(std::move(req));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  ASSERT_EQ(::shutdown(c.socket().fd(), SHUT_WR), 0);
+
+  // Every reply arrives, in order, and only then the EOF.
+  for (int i = 0; i < kRequests; ++i) {
+    auto resp = c.Await();
+    ASSERT_TRUE(resp.ok()) << "reply " << i << ": " << resp.status();
+    EXPECT_EQ(resp->id, ids[static_cast<size_t>(i)]);
+    EXPECT_TRUE(resp->status.ok()) << resp->status;
+    if (i % 3 == 1) {
+      EXPECT_GE(resp->entries.size(), 2000u);
+    }
+  }
+  EXPECT_EQ(c.Await().status().code(), StatusCode::kIoError);
+  WaitForClosedSessions(*h.server, 1);
+  EXPECT_EQ(wdb->get()->db().size(), 2000u + kRequests / 3);
+}
+
+// ---------------------------------------------------------------------
+// Non-blocking sends.
+// ---------------------------------------------------------------------
+
+TEST(ServeTest, NonReadingPeerStallsNeitherOthersNorStop) {
+  FaultVfs vfs(5);
+  auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});
+  ASSERT_TRUE(wdb.ok()) << wdb.status();
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(wdb->get()->InsertValue(BigRec(i, 16)).ok());
+  }
+  ASSERT_TRUE(wdb->get()->Commit().ok());
+  {
+    // The premise: one scan reply alone is about 200 KB.
+    Response scan;
+    scan.op = ReqOp::kGetScan;
+    for (Value& v : wdb->get()->db().GetSnapshot().GetScan(RecT())) {
+      scan.entries.push_back(MakeDynamic(std::move(v)));
+    }
+    ByteBuffer body;
+    EncodeResponse(scan, &body);
+    ASSERT_GT(body.size(), 150u * 1024);
+  }
+  // One loop: the hog and the bystander share it.
+  PairHarness h = StartPairServer(wdb->get(), /*workers=*/1, /*clients=*/2);
+  Client& hog = h.clients[0];
+  Client& other = h.clients[1];
+
+  // The hog pipelines ~8 MB worth of scans and never reads a reply:
+  // far more than the socket buffers hold.
+  for (int i = 0; i < 40; ++i) {
+    Request scan;
+    scan.op = ReqOp::kGetScan;
+    scan.type = RecT();
+    ASSERT_TRUE(hog.Send(std::move(scan)).ok());
+  }
+
+  other.set_await_timeout(std::chrono::seconds(3));
+  Status ping = other.Ping();
+  EXPECT_TRUE(ping.ok()) << "a session sharing the hog's loop: " << ping;
+
+  // Stop must not wait on the hog either. Should it block, closing the
+  // hog lets the server finish so the test fails instead of hanging.
+  auto stopped = std::async(std::launch::async, [&] { h.server->Stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(5)) ==
+                      std::future_status::ready;
+  EXPECT_TRUE(prompt) << "Stop() blocked on a peer that never reads";
+  if (!prompt) hog.socket().Close();
+  stopped.wait();
+}
+
 // ---------------------------------------------------------------------
 // Admission control.
 // ---------------------------------------------------------------------
 
-TEST(ServeTest, OverloadShedsWithUnavailable) {
+/// Parameter: the number of event loops. With 3, the admitted sessions
+/// land on different loops and share one admission count.
+class ServeOverloadTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServeOverloadTest, OverloadShedsWithUnavailable) {
   FaultVfs vfs(5);
   auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});
   ASSERT_TRUE(wdb.ok()) << wdb.status();
-  PairHarness h = StartPairServer(wdb->get(), 1, /*clients=*/2,
+  PairHarness h = StartPairServer(wdb->get(), GetParam(), /*clients=*/2,
                                   /*max_sessions=*/2);
 
   // Both admitted sessions work.
@@ -663,7 +780,10 @@ TEST(ServeTest, OverloadShedsWithUnavailable) {
   EXPECT_TRUE(h.server->AdoptConnection(std::move(pair2->first)).ok());
   Client again(std::move(pair2->second));
   EXPECT_TRUE(again.Ping().ok());
+  EXPECT_EQ(h.server->active_sessions(), 2);
 }
+
+INSTANTIATE_TEST_SUITE_P(Loops, ServeOverloadTest, ::testing::Values(1, 3));
 
 // ---------------------------------------------------------------------
 // TCP end to end.
@@ -927,11 +1047,6 @@ TEST(ServeCrashMatrixTest, ServerKilledAtEveryVfsOpWhileClientsStream) {
 // ---------------------------------------------------------------------
 
 /// A record whose payload alone is `n` bytes.
-Value BigRec(int seq, size_t n) {
-  return Value::RecordOf({{"Seq", Value::Int(seq)},
-                          {"Payload", Value::String(std::string(n, 'p'))}});
-}
-
 TEST(ServeTest, OversizeScanAnsweredInBandAndSessionSurvives) {
   FaultVfs vfs(5);
   auto wdb = WalDatabase::Open(&vfs, "db", CommitPolicy{1, true});

@@ -15,27 +15,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <ctime>
 #include <string>
-
-#include <poll.h>
-#include <unistd.h>
 
 #include "persist/replica.h"
 #include "serve/remote_shipper.h"
 
 namespace {
-
-// Signal flag + self-pipe so the main loop can sleep in poll(2)
-// instead of spinning.
-volatile std::sig_atomic_t g_stop = 0;
-int g_stop_pipe[2] = {-1, -1};
-
-void OnSignal(int /*sig*/) {
-  g_stop = 1;
-  char byte = 1;
-  (void)!::write(g_stop_pipe[1], &byte, 1);
-}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -48,6 +34,14 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Block the stop signals before any thread exists, so they stay
+  // pending until the sigtimedwait of the polling loop takes them.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   std::string primary;
   int poll_ms = 100;
   int report_ms = 1000;
@@ -101,18 +95,13 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(follower.db().size()),
                static_cast<unsigned long long>(follower.Epoch()));
 
-  if (::pipe(g_stop_pipe) != 0) {
-    std::fprintf(stderr, "dbpl_follow: pipe: %s\n", std::strerror(errno));
-    return 1;
-  }
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-
   // Manual polling loop (rather than Replica's streaming thread) so
   // the signal can interrupt a sleep immediately and transient poll
   // errors can be logged with context.
+  const struct timespec poll_wait = {poll_ms / 1000,
+                                     (poll_ms % 1000) * 1000000L};
   int since_report_ms = report_ms;  // report immediately on first lap
-  while (g_stop == 0) {
+  while (true) {
     dbpl::Status polled = follower.Poll();
     if (!polled.ok()) {
       std::fprintf(stderr, "dbpl_follow: poll: %s\n",
@@ -134,8 +123,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(ss.rpcs),
           static_cast<unsigned long long>(ss.reconnects));
     }
-    struct pollfd pfd = {g_stop_pipe[0], POLLIN, 0};
-    (void)::poll(&pfd, 1, poll_ms);
+    if (sigtimedwait(&stop_signals, nullptr, &poll_wait) >= 0) break;
     since_report_ms += poll_ms;
   }
 

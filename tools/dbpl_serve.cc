@@ -2,13 +2,16 @@
 //
 // Opens (or creates) a WAL-backed database directory and serves the
 // dbpl-serve wire protocol (src/serve/protocol.h) over TCP until
-// SIGINT/SIGTERM, then shuts down cleanly: stop accepting, drain
-// workers, flush the WAL.
+// SIGINT/SIGTERM, then shuts down cleanly: stop accepting, join the
+// event loops, flush the WAL.
 //
 // Usage:
 //   dbpl_serve --dir <path> [--host 127.0.0.1] [--port 7474]
 //              [--workers 4] [--max-sessions 1024]
 //              [--commit-every-n 1] [--no-sync] [--shards 0]
+//
+// --workers is the number of event loops; each one receives, executes
+// and answers its own sessions' requests (DESIGN.md §12).
 //
 // Exit status: 0 on clean shutdown, 1 on a startup or serve error.
 
@@ -16,27 +19,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-
-#include <poll.h>
-#include <unistd.h>
 
 #include "persist/wal_database.h"
 #include "serve/server.h"
 
 namespace {
-
-// Signal flag + self-pipe so the main thread can sleep in poll(2)
-// instead of spinning.
-volatile std::sig_atomic_t g_stop = 0;
-int g_stop_pipe[2] = {-1, -1};
-
-void OnSignal(int /*sig*/) {
-  g_stop = 1;
-  char byte = 1;
-  (void)!::write(g_stop_pipe[1], &byte, 1);
-}
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -51,6 +39,16 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Block the stop signals before any thread exists: every thread
+  // inherits the mask, so a signal stays pending — even one arriving
+  // during recovery — until sigwait below takes it, and the final WAL
+  // flush always runs.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   std::string dir;
   dbpl::serve::ServeOptions serve_opts;
   serve_opts.listen = true;
@@ -121,20 +119,12 @@ int main(int argc, char** argv) {
                  server.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "dbpl_serve: listening on %s:%u (%d workers)\n",
+  std::fprintf(stderr, "dbpl_serve: listening on %s:%u (%d loops)\n",
                serve_opts.host.c_str(), (*server)->port(),
                serve_opts.workers);
 
-  if (::pipe(g_stop_pipe) != 0) {
-    std::fprintf(stderr, "dbpl_serve: pipe: %s\n", std::strerror(errno));
-    return 1;
-  }
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-  while (g_stop == 0) {
-    struct pollfd pfd = {g_stop_pipe[0], POLLIN, 0};
-    (void)::poll(&pfd, 1, -1);
-  }
+  int sig = 0;
+  sigwait(&stop_signals, &sig);
 
   std::fprintf(stderr, "dbpl_serve: shutting down\n");
   (*server)->Stop();
