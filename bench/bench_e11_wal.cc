@@ -17,10 +17,7 @@
 //    snapshot and rotate the log.
 //
 // All I/O goes through the production VFS into a fresh temp directory
-// per run. This binary has its own main: besides the console output it
-// writes BENCH_E11.json (override with DBPL_BENCH_E11_JSON) with one
-// record per run — name, n, every_n, ns_per_op — so the EXPERIMENTS.md
-// §E11 table can be regenerated mechanically.
+// per run.
 
 #include <benchmark/benchmark.h>
 
@@ -29,18 +26,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/value.h"
 #include "dyndb/database.h"
 #include "persist/database_io.h"
 #include "persist/wal_database.h"
-
-#include "provenance.h"
 
 namespace {
 
@@ -178,67 +171,6 @@ void BM_WalCheckpoint(benchmark::State& state) {
   state.counters["every_n"] = 1;
 }
 
-/// Console reporter that also collects every run and dumps them as a
-/// JSON array when the binary exits (same scheme as bench_e10).
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      rec.ns_per_op =
-          run.iterations > 0
-              ? run.real_accumulated_time / static_cast<double>(run.iterations) *
-                    1e9
-              : 0.0;
-      rec.n = Counter(run, "n");
-      rec.every_n = CounterOr(run, "every_n", 1.0);
-      rec.commits_per_sec = Counter(run, "commits_per_sec");
-      records_.push_back(std::move(rec));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  void WriteJson(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_e11: cannot open " << path << " for writing\n";
-      return;
-    }
-    out << "{\"provenance\": " << dbpl::bench::ProvenanceJson()
-        << ",\n \"results\": [\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::string variant = r.name.substr(0, r.name.find('/'));
-      out << "  {\"name\": \"" << r.name << "\", \"variant\": \"" << variant
-          << "\", \"n\": " << static_cast<int64_t>(r.n)
-          << ", \"every_n\": " << static_cast<int64_t>(r.every_n)
-          << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"commits_per_sec\": " << r.commits_per_sec << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    double n = 0, every_n = 1, ns_per_op = 0, commits_per_sec = 0;
-  };
-
-  static double Counter(const Run& run, const char* key) {
-    return CounterOr(run, key, 0.0);
-  }
-  static double CounterOr(const Run& run, const char* key, double fallback) {
-    auto it = run.counters.find(key);
-    return it == run.counters.end() ? fallback
-                                    : static_cast<double>(it->second.value);
-  }
-
-  std::vector<Record> records_;
-};
-
 }  // namespace
 
 BENCHMARK(BM_WalInsertCommit)
@@ -269,15 +201,3 @@ BENCHMARK(BM_WalCheckpoint)
     ->Setup(SetupWalSynced)
     ->Teardown(Teardown)
     ->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main before
-  // any worker thread exists.
-  const char* path = std::getenv("DBPL_BENCH_E11_JSON");
-  reporter.WriteJson(path != nullptr ? path : "BENCH_E11.json");
-  return 0;
-}

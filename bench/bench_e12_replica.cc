@@ -21,9 +21,7 @@
 //    keeps writing and followers keep polling between reads).
 //
 // All I/O goes through the production VFS into a fresh temp directory
-// per run. Own main: writes BENCH_E12.json (override with
-// DBPL_BENCH_E12_JSON) with one record per run so the EXPERIMENTS.md
-// §E12 tables regenerate mechanically.
+// per run.
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +32,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -44,8 +41,6 @@
 #include "dyndb/database.h"
 #include "persist/replica.h"
 #include "persist/wal_database.h"
-
-#include "provenance.h"
 
 namespace {
 
@@ -234,73 +229,6 @@ void BM_FollowerReads(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 
-/// Console reporter that also collects every run and dumps them as a
-/// JSON array when the binary exits (same scheme as bench_e11).
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      rec.ns_per_op =
-          run.iterations > 0
-              ? run.real_accumulated_time /
-                    static_cast<double>(run.iterations) * 1e9
-              : 0.0;
-      rec.n = Counter(run, "n");
-      rec.followers = Counter(run, "followers");
-      rec.mixed = Counter(run, "mixed");
-      rec.records_per_sec = Counter(run, "records_per_sec");
-      rec.reads_per_sec = Counter(run, "reads_per_sec");
-      rec.lag_p50 = Counter(run, "lag_p50");
-      rec.lag_p99 = Counter(run, "lag_p99");
-      records_.push_back(std::move(rec));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  void WriteJson(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_e12: cannot open " << path << " for writing\n";
-      return;
-    }
-    out << "{\"provenance\": " << dbpl::bench::ProvenanceJson()
-        << ",\n \"results\": [\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::string variant = r.name.substr(0, r.name.find('/'));
-      out << "  {\"name\": \"" << r.name << "\", \"variant\": \"" << variant
-          << "\", \"n\": " << static_cast<int64_t>(r.n)
-          << ", \"followers\": " << static_cast<int64_t>(r.followers)
-          << ", \"mixed\": " << static_cast<int64_t>(r.mixed)
-          << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"records_per_sec\": " << r.records_per_sec
-          << ", \"reads_per_sec\": " << r.reads_per_sec
-          << ", \"lag_p50\": " << r.lag_p50
-          << ", \"lag_p99\": " << r.lag_p99 << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    double n = 0, followers = 0, mixed = 0, ns_per_op = 0;
-    double records_per_sec = 0, reads_per_sec = 0, lag_p50 = 0, lag_p99 = 0;
-  };
-
-  static double Counter(const Run& run, const char* key) {
-    auto it = run.counters.find(key);
-    return it == run.counters.end() ? 0.0
-                                    : static_cast<double>(it->second.value);
-  }
-
-  std::vector<Record> records_;
-};
-
 }  // namespace
 
 BENCHMARK(BM_ReplicaCatchUp)
@@ -327,15 +255,3 @@ BENCHMARK(BM_FollowerReads)
     ->UseRealTime()
     ->Setup(SetupReads)
     ->Teardown(Teardown);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main before
-  // any worker thread exists.
-  const char* path = std::getenv("DBPL_BENCH_E12_JSON");
-  reporter.WriteJson(path != nullptr ? path : "BENCH_E12.json");
-  return 0;
-}

@@ -20,11 +20,7 @@
 //    at size n: snapshot save + rotating all K lane segments.
 //
 // WAL I/O goes through the production VFS into a fresh temp directory
-// per run. This binary has its own main: besides the console output it
-// writes BENCH_E13.json (override with DBPL_BENCH_E13_JSON) with one
-// record per run — name, shards, threads, n, ns_per_op,
-// inserts_per_sec — so the EXPERIMENTS.md §E13 table can be
-// regenerated mechanically.
+// per run.
 
 #include <benchmark/benchmark.h>
 
@@ -33,18 +29,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/value.h"
 #include "dyndb/database.h"
 #include "persist/wal_database.h"
 #include "storage/vfs.h"
-
-#include "provenance.h"
 
 namespace {
 
@@ -123,8 +115,6 @@ void AddWriterCounters(benchmark::State& state, int64_t shards) {
   // aggregation); the throughput counter must be (total inserts / s).
   state.counters["shards"] = benchmark::Counter(
       static_cast<double>(shards), benchmark::Counter::kAvgThreads);
-  state.counters["threads"] = benchmark::Counter(
-      static_cast<double>(state.threads()), benchmark::Counter::kAvgThreads);
   state.counters["inserts_per_sec"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
@@ -162,72 +152,8 @@ void BM_ShardedCheckpoint(benchmark::State& state) {
     }
   }
   state.counters["shards"] = static_cast<double>(state.range(0));
-  state.counters["threads"] = 1;
   state.counters["n"] = static_cast<double>(state.range(1));
 }
-
-/// Console reporter that also collects every run and dumps them as a
-/// JSON array when the binary exits (same scheme as bench_e11).
-class JsonTeeReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      Record rec;
-      rec.name = run.benchmark_name();
-      rec.ns_per_op =
-          run.iterations > 0
-              ? run.real_accumulated_time / static_cast<double>(run.iterations) *
-                    1e9
-              : 0.0;
-      rec.shards = Counter(run, "shards");
-      rec.threads = CounterOr(run, "threads", 1.0);
-      rec.n = Counter(run, "n");
-      rec.inserts_per_sec = Counter(run, "inserts_per_sec");
-      records_.push_back(std::move(rec));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  void WriteJson(const std::string& path) const {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "bench_e13: cannot open " << path << " for writing\n";
-      return;
-    }
-    out << "{\"provenance\": " << dbpl::bench::ProvenanceJson()
-        << ",\n \"results\": [\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::string variant = r.name.substr(0, r.name.find('/'));
-      out << "  {\"name\": \"" << r.name << "\", \"variant\": \"" << variant
-          << "\", \"shards\": " << static_cast<int64_t>(r.shards)
-          << ", \"threads\": " << static_cast<int64_t>(r.threads)
-          << ", \"n\": " << static_cast<int64_t>(r.n)
-          << ", \"ns_per_op\": " << r.ns_per_op
-          << ", \"inserts_per_sec\": " << r.inserts_per_sec << "}"
-          << (i + 1 < records_.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    double shards = 1, threads = 1, n = 0, ns_per_op = 0, inserts_per_sec = 0;
-  };
-
-  static double Counter(const Run& run, const char* key) {
-    return CounterOr(run, key, 0.0);
-  }
-  static double CounterOr(const Run& run, const char* key, double fallback) {
-    auto it = run.counters.find(key);
-    return it == run.counters.end() ? fallback
-                                    : static_cast<double>(it->second.value);
-  }
-
-  std::vector<Record> records_;
-};
 
 }  // namespace
 
@@ -256,15 +182,3 @@ BENCHMARK(BM_ShardedCheckpoint)
     ->Setup(SetupCheckpoint)
     ->Teardown(Teardown)
     ->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonTeeReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once from main before
-  // any worker thread exists.
-  const char* path = std::getenv("DBPL_BENCH_E13_JSON");
-  reporter.WriteJson(path != nullptr ? path : "BENCH_E13.json");
-  return 0;
-}

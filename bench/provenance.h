@@ -21,11 +21,11 @@ inline constexpr const char* kCompiler = "gcc " __VERSION__;
 inline constexpr const char* kCompiler = "unknown";
 #endif
 
-/// The provenance object every BENCH_*.json leads with, so a result
-/// file is never divorced from the machine, toolchain and commit that
+/// The provenance object BENCH_SERVE.json leads with, so a result file
+/// is never divorced from the machine, toolchain and commit that
 /// produced it (EXPERIMENTS.md: numbers without provenance are
-/// anecdotes). Kept to facts that are cheap and portable to collect:
-/// host core count, compiler version, git commit.
+/// anecdotes). The google-benchmark binaries put kCompiler and the
+/// commit into Google Benchmark's own run context (bench_main.cc).
 inline std::string ProvenanceJson() {
   std::ostringstream out;
   out << "{\"host_cores\": " << std::thread::hardware_concurrency()
